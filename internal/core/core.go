@@ -15,9 +15,10 @@
 //     identical link delays.
 //
 // Greedy runs in one of two modes. ModeExact (the default) accepts a
-// candidate update only after re-validating the partial schedule with the
-// dynflow ground-truth validator, so the returned schedule is always
-// congestion- and loop-free by construction (Theorem 3 made constructive).
+// candidate update only after validating the partial schedule with the
+// dynflow ground-truth validator (incrementally, through dynflow.Delta),
+// so the returned schedule is always congestion- and loop-free by
+// construction (Theorem 3 made constructive).
 // ModeFast applies only the paper's local checks (Algorithms 3 and 4) and
 // runs in O(n) per tick; it is the variant whose running time the paper's
 // Fig. 10 reports at thousands of switches.

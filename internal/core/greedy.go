@@ -44,13 +44,14 @@ type Result struct {
 // safe update left (waiting longer cannot change anything, per the argument
 // of Theorem 2), or the schedule would exceed the budget.
 //
-// In ModeExact the acceptance test is full re-validation with the dynflow
-// ground-truth validator; in ModeFast it is the closed-form in-flight
-// account of fastState plus Algorithm 4's loop check, which never traces
-// emissions. The fast mode is event-driven: rejected candidates carry a
-// retry tick (all rejection conditions are monotone in time while the
-// configuration is unchanged), so the scheduler jumps between wake events
-// instead of probing every tick.
+// In ModeExact the acceptance test is the dynflow validator's verdict on
+// the partial schedule, computed incrementally by dynflow.Delta (equal to
+// a full Validate, see DESIGN.md §13); in ModeFast it is the closed-form
+// in-flight account of fastState plus Algorithm 4's loop check, which
+// never traces emissions. The fast mode is event-driven: rejected
+// candidates carry a retry tick (all rejection conditions are monotone in
+// time while the configuration is unchanged), so the scheduler jumps
+// between wake events instead of probing every tick.
 func Greedy(in *dynflow.Instance, opts Options) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -85,7 +86,8 @@ func Greedy(in *dynflow.Instance, opts Options) (*Result, error) {
 }
 
 // greedyExact is the validator-backed variant: per tick, try every pending
-// candidate and keep those the ground-truth validator approves. Intended
+// candidate and keep those the ground-truth validator approves, each test
+// re-tracing only the emissions the candidate's flip can change. Intended
 // for the instance sizes of the quality experiments (tens of switches).
 func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Result, ws *workspace) (*Result, error) {
 	s := res.Schedule
@@ -96,7 +98,14 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 	}
 	pathDrain := dynflow.Tick(in.Init.Delay(in.G) + in.Fin.Delay(in.G))
 	drainHorizon := s.Start + dynflow.Tick(in.Init.Delay(in.G))
-	var lastReport *dynflow.Report
+	// The acceptance test runs on the incremental validator, seeded with
+	// the empty schedule: the initial path alone is clean (in.Validate
+	// checked its capacities and delays), and every commit keeps it so.
+	if !ws.delta.Reset(in, s) {
+		return res, fmt.Errorf("core: internal error: initial configuration fails validation: %s",
+			dynflow.Validate(in, s).Summary())
+	}
+	accepts := 0
 
 	// Validator rejections stem from in-flight collisions that recede over
 	// time but carry no closed-form retry tick, so rejected candidates back
@@ -139,19 +148,19 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 					sm.deferred.Inc()
 					continue
 				}
-				s.Set(cand.v, t)
 				res.Validations++
 				sm.validations.Inc()
-				r := dynflow.Validate(in, s)
-				if !r.OK() {
-					delete(s.Times, cand.v)
+				if ok, _ := ws.delta.Try(cand.v, t); !ok {
+					ws.delta.Rollback()
 					n := ws.bumpStrike(cand.v)
 					backoff := dynflow.Tick(1) << minUint(uint(n)-1, 7)
 					ws.setSleep(cand.v, t+backoff)
 					sm.rejected.Inc()
 					continue
 				}
-				lastReport = r
+				ws.delta.Commit()
+				s.Set(cand.v, t)
+				accepts++
 				accepted[cand.v] = true
 				changed = true
 				sm.accepted.Inc()
@@ -167,8 +176,8 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 		}
 		if len(accepted) > 0 {
 			pending = removeAll(pending, accepted)
-			if lastReport != nil && lastReport.LatestArrival > drainHorizon {
-				drainHorizon = lastReport.LatestArrival
+			if la := ws.delta.LatestArrival(); la > drainHorizon {
+				drainHorizon = la
 			}
 			if dh := t + pathDrain; dh > drainHorizon {
 				drainHorizon = dh
@@ -212,15 +221,17 @@ func greedyExact(in *dynflow.Instance, opts Options, sm schedMetrics, res *Resul
 		t = next
 		sm.wakeJumps.Inc()
 	}
-	res.Report = lastReport
-	if res.Report == nil || res.BestEffort {
-		res.Report = dynflow.Validate(in, s)
+	// The final report is a full validation: the certificate for a clean
+	// schedule, the violation account for a best-effort one. It counts as
+	// an acceptance test only when no candidate's test covered it.
+	res.Report = dynflow.Validate(in, s)
+	if accepts == 0 || res.BestEffort {
 		res.Validations++
 		sm.validations.Inc()
 	}
 	if !res.BestEffort && !res.Report.OK() {
-		// Cannot happen: every acceptance was validator-approved and the
-		// validator is deterministic. Guard anyway.
+		// Cannot happen: every acceptance was approved by the incremental
+		// validator, whose verdicts equal Validate's. Guard anyway.
 		return res, fmt.Errorf("core: internal error: exact-mode schedule failed validation: %s", res.Report.Summary())
 	}
 	return res, nil

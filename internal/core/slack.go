@@ -27,11 +27,16 @@ type SwitchSlack struct {
 
 // ScheduleSlack computes the per-switch slack of a schedule against the
 // dynamic-flow validator: for each scheduled switch it delays that one
-// activation until Validate reports a violation. It answers the
-// operational question behind critical-path analysis — which switches
-// must fire on time, and how much timing error the rest tolerate — and
-// complements the event-based critical path the audit package derives
-// from an execution trace.
+// activation a tick at a time until the schedule stops validating clean.
+// It answers the operational question behind critical-path analysis —
+// which switches must fire on time, and how much timing error the rest
+// tolerate — and complements the event-based critical path the audit
+// package derives from an execution trace.
+//
+// Each one-tick delay is checked by the incremental validator: moving v
+// from Time+d to Time+d+1 changes only the units arriving at v at tick
+// Time+d, so a step re-traces about one emission instead of the whole
+// schedule. Its verdicts equal a full Validate's.
 //
 // Switches are returned in ascending NodeID order. The result is only
 // meaningful for schedules that validate clean; for a violating schedule
@@ -43,7 +48,10 @@ func ScheduleSlack(in *dynflow.Instance, s *dynflow.Schedule) []SwitchSlack {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := make([]SwitchSlack, 0, len(ids))
-	if !dynflow.Validate(in, s).OK() {
+	ws := getWorkspace(in.G.NumNodes())
+	defer putWorkspace(ws)
+	d := &ws.delta
+	if !d.Reset(in, s) {
 		for _, v := range ids {
 			out = append(out, SwitchSlack{V: v, Time: s.Times[v], Critical: true})
 		}
@@ -51,16 +59,22 @@ func ScheduleSlack(in *dynflow.Instance, s *dynflow.Schedule) []SwitchSlack {
 	}
 	horizon := autoMaxTicks(in)
 	for _, v := range ids {
+		base := s.Times[v]
 		slack := horizon
-		trial := s.Clone()
-		for d := dynflow.Tick(1); d <= horizon; d++ {
-			trial.Times[v] = s.Times[v] + d
-			if !dynflow.Validate(in, trial).OK() {
-				slack = d - 1
+		for dt := dynflow.Tick(1); dt <= horizon; dt++ {
+			if ok, _ := d.Try(v, base+dt); !ok {
+				d.Rollback()
+				slack = dt - 1
 				break
 			}
+			d.Commit()
 		}
-		out = append(out, SwitchSlack{V: v, Time: s.Times[v], Slack: slack, Critical: slack == 0})
+		if slack > 0 {
+			// Back to the clean base schedule for the next switch.
+			d.Try(v, base)
+			d.Commit()
+		}
+		out = append(out, SwitchSlack{V: v, Time: base, Slack: slack, Critical: slack == 0})
 	}
 	return out
 }

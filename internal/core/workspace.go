@@ -67,6 +67,10 @@ type workspace struct {
 	activePos []int32
 	visit     []uint64
 	visitGen  uint64
+
+	// delta is the exact mode's incremental validator; Reset rebuilds it
+	// per solve over its retained slices.
+	delta dynflow.Delta
 }
 
 func newWorkspace(n int) *workspace {
@@ -97,7 +101,7 @@ func (ws *workspace) bytes() int64 {
 	b += int64(cap(ws.sleep)) * 8
 	b += int64(cap(ws.strikes)) * 4
 	b += int64(cap(ws.trail)+cap(ws.pathA)+cap(ws.pathB)) * int64(8)
-	return b
+	return b + ws.delta.Bytes()
 }
 
 // sleepOf returns v's backoff deadline and whether any backoff entry exists

@@ -7,7 +7,13 @@ import (
 // validatorMetrics bundles the validator's instruments; built from a
 // possibly-nil registry (nil instruments are no-ops).
 type validatorMetrics struct {
-	runs       *obs.Counter
+	// runs counts full validations and Delta trials (a Delta's build
+	// from its base schedule included).
+	runs *obs.Counter
+	// traces counts the emissions a validator walks: each one whole in
+	// Validate and in a Delta's build; in a Delta trial, each emission
+	// re-traced from the flipped switch on, or traced whole as it
+	// enters the window.
 	traces     *obs.Counter
 	denseLoads *obs.Counter
 	mapLoads   *obs.Counter
@@ -28,8 +34,8 @@ func RegisterMetrics(r *obs.Registry) {
 
 func newValidatorMetrics(r *obs.Registry) validatorMetrics {
 	if r != nil {
-		r.Help("chronus_validator_runs_total", "ground-truth validations")
-		r.Help("chronus_validator_traces_total", "emission traces walked")
+		r.Help("chronus_validator_runs_total", "ground-truth validations and incremental trials")
+		r.Help("chronus_validator_traces_total", "emissions walked, whole or as a suffix re-traced by an incremental trial")
 		r.Help("chronus_validator_load_accounting_total", "load-accounting runs by backend (dense array vs map fallback)")
 		r.Help("chronus_validator_window_ticks", "validation window size in ticks")
 	}

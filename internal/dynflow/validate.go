@@ -217,19 +217,13 @@ func Validate(in *Instance, s *Schedule) *Report {
 	// Departure ticks stay below end + 2 × (max trace duration): the last
 	// traced emission is at latestArrival <= end + maxTrace, and its own
 	// trace lasts at most maxTrace more.
-	var maxDelay Tick = 1
-	for _, outs := range tr.out {
-		for _, l := range outs {
-			if l.delay > maxDelay {
-				maxDelay = l.delay
-			}
-		}
-	}
-	maxTrace := Tick(tr.nodes+1) * maxDelay
+	maxTrace := Tick(tr.nodes+1) * tr.maxDelay
 	tr.beginLoads(int64(end-start) + 2*int64(maxTrace) + 1)
+	tr.loadSchedule(s)
+	defer tr.unloadSchedule(s)
 
 	record := func(e Tick) Tick {
-		status, at, arrive := tr.trace(s, e, start, true)
+		status, at, arrive := tr.trace(e, start)
 		switch status {
 		case Looped:
 			r.Loops = append(r.Loops, LoopEvent{Emit: e, At: at, Tick: arrive})

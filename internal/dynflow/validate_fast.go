@@ -1,6 +1,8 @@
 package dynflow
 
 import (
+	"math"
+
 	"github.com/chronus-sdn/chronus/internal/graph"
 )
 
@@ -16,6 +18,9 @@ type tracerCore struct {
 	out   [][]tracerLink
 	caps  []graph.Capacity  // by ordinal
 	pairs [][2]graph.NodeID // ordinal -> (from, to)
+	// maxDelay is the largest link delay (at least 1): it bounds how far
+	// past the window a trace can depart.
+	maxDelay Tick
 	// fingerprint detects graph mutations that invalidate a cached tracer.
 	nodes, links int
 	fp           uint64
@@ -31,6 +36,13 @@ type tracer struct {
 	// visit stamps detect revisits without a per-trace map.
 	visit []uint64
 	stamp uint64
+
+	// times holds the schedule under validation as per-node activation
+	// ticks (noTime when unscheduled), and oldNext/newNext the instance's
+	// per-node next hops; loadSchedule fills all three once per Validate
+	// so the trace loop reads flat slices only.
+	times            []Tick
+	oldNext, newNext []graph.NodeID
 
 	// Load accounting scratch, reused across Validate calls. When the
 	// (links × window) product is small the dense epoch-stamped array is
@@ -114,12 +126,16 @@ type tracerLink struct {
 func newTracerCore(g *graph.Graph, fp uint64) *tracerCore {
 	n := g.NumNodes()
 	c := &tracerCore{
-		out: make([][]tracerLink, n),
-		fp:  fp,
+		out:      make([][]tracerLink, n),
+		maxDelay: 1,
+		fp:       fp,
 	}
 	ord := int32(0)
 	for _, id := range g.Nodes() {
 		for _, l := range g.Out(id) {
+			if Tick(l.Delay) > c.maxDelay {
+				c.maxDelay = Tick(l.Delay)
+			}
 			c.out[id] = append(c.out[id], tracerLink{to: l.To, delay: Tick(l.Delay), ordinal: ord})
 			c.caps = append(c.caps, l.Cap)
 			c.pairs = append(c.pairs, [2]graph.NodeID{id, l.To})
@@ -132,11 +148,52 @@ func newTracerCore(g *graph.Graph, fp uint64) *tracerCore {
 }
 
 func newTracer(in *Instance, core *tracerCore) *tracer {
-	return &tracer{
+	tr := &tracer{
 		in:         in,
 		tracerCore: core,
 		visit:      make([]uint64, core.nodes),
+		times:      make([]Tick, core.nodes),
 	}
+	for i := range tr.times {
+		tr.times[i] = noTime
+	}
+	return tr
+}
+
+// noTime marks a switch without an activation tick: no tick reaches it.
+const noTime = Tick(math.MaxInt64)
+
+// loadSchedule points the tracer at schedule s: its activation ticks go
+// into the flat times slice and the next hops come from the instance's
+// path index. unloadSchedule must follow before the tracer is reused.
+func (tr *tracer) loadSchedule(s *Schedule) {
+	idx := tr.in.ensureIndex()
+	tr.oldNext, tr.newNext = idx.oldNext, idx.newNext
+	for v, t := range s.Times {
+		if v >= 0 && int(v) < len(tr.times) {
+			tr.times[v] = t
+		}
+	}
+}
+
+// unloadSchedule resets the entries loadSchedule set.
+func (tr *tracer) unloadSchedule(s *Schedule) {
+	for v := range s.Times {
+		if v >= 0 && int(v) < len(tr.times) {
+			tr.times[v] = noTime
+		}
+	}
+}
+
+// nextHop is NextHopAt over the loaded schedule.
+func (tr *tracer) nextHop(v graph.NodeID, t Tick) graph.NodeID {
+	if v < 0 || int(v) >= len(tr.newNext) {
+		return graph.Invalid
+	}
+	if nn := tr.newNext[v]; nn != graph.Invalid && t >= tr.times[v] {
+		return nn
+	}
+	return tr.oldNext[v]
 }
 
 // tracerFor returns the instance's cached tracer, rebuilding it when the
@@ -165,9 +222,9 @@ func (tr *tracer) link(from, to graph.NodeID) (tracerLink, bool) {
 	return tracerLink{}, false
 }
 
-// trace follows one emission, accumulating loads (when record is true) and
-// returning the terminal status with its location and tick.
-func (tr *tracer) trace(s *Schedule, emit Tick, base Tick, record bool) (status TraceStatus, at graph.NodeID, end Tick) {
+// trace follows one emission through the loaded schedule, accumulating
+// loads and returning the terminal status with its location and tick.
+func (tr *tracer) trace(emit Tick, base Tick) (status TraceStatus, at graph.NodeID, end Tick) {
 	in := tr.in
 	cur := in.Source()
 	t := emit
@@ -178,7 +235,7 @@ func (tr *tracer) trace(s *Schedule, emit Tick, base Tick, record bool) (status 
 		if cur == dest {
 			return Delivered, graph.Invalid, t
 		}
-		nh := NextHopAt(in, s, cur, t)
+		nh := tr.nextHop(cur, t)
 		if nh == graph.Invalid {
 			return Blackholed, cur, t
 		}
@@ -186,9 +243,7 @@ func (tr *tracer) trace(s *Schedule, emit Tick, base Tick, record bool) (status 
 		if !ok {
 			return Blackholed, cur, t
 		}
-		if record {
-			tr.addLoad(l.ordinal, int64(t-base))
-		}
+		tr.addLoad(l.ordinal, int64(t-base))
 		t += l.delay
 		cur = nh
 		if int(cur) < len(tr.visit) && tr.visit[cur] == tr.stamp {

@@ -55,10 +55,11 @@ type Options struct {
 	// MaxNodes caps search nodes, where a node is one validator invocation
 	// (0 = default 50000).
 	MaxNodes int
-	// Timeout bounds the wall-clock search time (0 = none). Exceeding it
-	// behaves like budget exhaustion: the best incumbent is returned with
-	// StatusBudget — the paper's "does not complete within the time
-	// limit".
+	// Timeout bounds the wall-clock time of the whole call, greedy
+	// seeding included (0 = none). Exceeding it behaves like budget
+	// exhaustion: the best incumbent is returned with StatusBudget — the
+	// paper's "does not complete within the time limit". Once it has run
+	// out, the exact-greedy seed is skipped.
 	Timeout time.Duration
 	// MaxMakespan caps the schedules considered (0 = automatic bound: the
 	// greedy makespan when greedy succeeds, otherwise a drain-derived
@@ -98,6 +99,13 @@ func Exact(in *dynflow.Instance, opts Options) (*Result, error) {
 		return res, nil
 	}
 
+	// The budget covers seeding too: the deadline is armed before the
+	// greedy seeds run, so Timeout bounds the whole call.
+	e := &exactSearch{in: in, start: opts.Start, maxNodes: maxNodes}
+	if opts.Timeout > 0 {
+		e.deadline = time.Now().Add(opts.Timeout)
+	}
+
 	// Seed the incumbent with the greedy schedule: it provides the upper
 	// bound for iterative deepening and the fallback on budget exhaustion.
 	ub := opts.MaxMakespan
@@ -105,7 +113,7 @@ func Exact(in *dynflow.Instance, opts Options) (*Result, error) {
 	// prove anything it matches the exact greedy, and at Fig. 10 scales the
 	// seeding cost stays a small fraction of the search budget.
 	greedyRes, greedyErr := core.Greedy(in, core.Options{Start: opts.Start, Mode: core.ModeFast})
-	if len(pending) <= 64 {
+	if len(pending) <= 64 && !e.pastDeadline() {
 		// The fast engine's closed-form checks are more conservative than
 		// the validator; on small instances the exact greedy often finds a
 		// schedule (or a shorter one), so take the better of the two seeds.
@@ -124,10 +132,6 @@ func Exact(in *dynflow.Instance, opts Options) (*Result, error) {
 		ub = dynflow.Tick(in.Init.Delay(in.G)+in.Fin.Delay(in.G))*2 + dynflow.Tick(len(pending))
 	}
 
-	e := &exactSearch{in: in, start: opts.Start, maxNodes: maxNodes}
-	if opts.Timeout > 0 {
-		e.deadline = time.Now().Add(opts.Timeout)
-	}
 	for m := dynflow.Tick(0); m <= ub; m++ {
 		if res.Schedule != nil && res.Schedule.Makespan() <= m {
 			// The incumbent already achieves this makespan; it is optimal.
@@ -169,13 +173,12 @@ type exactSearch struct {
 // exhaustedBudget reports whether the node or time budget ran out; it
 // checks the clock only every few nodes.
 func (e *exactSearch) exhaustedBudget() bool {
-	if e.nodes > e.maxNodes {
-		return true
-	}
-	if !e.deadline.IsZero() && time.Now().After(e.deadline) {
-		return true
-	}
-	return false
+	return e.nodes > e.maxNodes || e.pastDeadline()
+}
+
+// pastDeadline reports whether the wall-clock budget ran out.
+func (e *exactSearch) pastDeadline() bool {
+	return !e.deadline.IsZero() && time.Now().After(e.deadline)
 }
 
 // search tries to flip all pending switches within makespan m, standing at

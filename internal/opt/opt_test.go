@@ -3,6 +3,7 @@ package opt
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/chronus-sdn/chronus/internal/core"
 	"github.com/chronus-sdn/chronus/internal/dynflow"
@@ -83,6 +84,40 @@ func TestExactBudget(t *testing.T) {
 	// The greedy incumbent is still available.
 	if res.Schedule == nil {
 		t.Fatal("no incumbent on budget exhaustion")
+	}
+}
+
+// TestExactTimeoutCoversSeeding: the timeout is armed before seeding, so a
+// budget spent by the time the fast seed returns skips the exact-greedy
+// seed and comes back with the fast incumbent. The instance has few
+// pending switches (the exact seed runs without a timeout) and an exact
+// greedy schedule shorter than the fast one, which tells the seeds apart.
+func TestExactTimeoutCoversSeeding(t *testing.T) {
+	in := topo.RandomInstance(rand.New(rand.NewSource(2)), topo.DefaultRandomParams(6))
+	fast, err := core.Greedy(in, core.Options{Mode: core.ModeFast})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := core.Greedy(in, core.Options{Mode: core.ModeExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(in.UpdateSet()) > 64 || exact.Schedule.Makespan() >= fast.Schedule.Makespan() {
+		t.Fatalf("precondition: want <= 64 pending and exact makespan %d < fast %d",
+			exact.Schedule.Makespan(), fast.Schedule.Makespan())
+	}
+	if res, err := Exact(in, Options{}); err != nil || res.Schedule.Makespan() > exact.Schedule.Makespan() {
+		t.Fatalf("unbudgeted Exact = %+v, %v; want makespan <= %d", res, err, exact.Schedule.Makespan())
+	}
+	res, err := Exact(in, Options{Timeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusBudget {
+		t.Fatalf("status = %v, want budget", res.Status)
+	}
+	if res.Schedule == nil || res.Schedule.String() != fast.Schedule.String() {
+		t.Fatalf("incumbent %v, want the fast seed %s", res.Schedule, fast.Schedule)
 	}
 }
 
