@@ -317,27 +317,10 @@ func BenchmarkOrderReplacement(b *testing.B) {
 	}
 }
 
-// Cold/warm benchmarks for the cross-solve caches: the same topology
-// solved repeatedly (the chronusd-shaped workload). Cold bypasses every
-// cache with NoCache; warm measures the steady state the plan cache
-// serves.
-
-func BenchmarkSolveColdN40(b *testing.B) {
+// BenchmarkSolveN40 solves one 40-switch instance repeatedly through the
+// registry; every solve runs the engine from scratch.
+func BenchmarkSolveN40(b *testing.B) {
 	in := benchInstance(40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := chronus.SolveWith("chronus", in, chronus.SchemeOptions{BestEffort: true, NoCache: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolveWarmN40(b *testing.B) {
-	in := benchInstance(40)
-	if _, err := chronus.SolveWith("chronus", in, chronus.SchemeOptions{BestEffort: true}); err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := chronus.SolveWith("chronus", in, chronus.SchemeOptions{BestEffort: true})

@@ -28,19 +28,17 @@ func TestDaemonUpdateCostReport(t *testing.T) {
 	}
 
 	var cost struct {
-		Span              uint64 `json:"span"`
-		Method            string `json:"method"`
-		Outcome           string `json:"outcome"`
-		QueueWaitNs       int64  `json:"queue_wait_ns"`
-		WallNs            int64  `json:"wall_ns"`
-		CPUNs             int64  `json:"cpu_ns"`
-		AllocBytes        uint64 `json:"alloc_bytes"`
-		Mallocs           uint64 `json:"mallocs"`
-		SolverCacheHits   int64  `json:"solver_cache_hits"`
-		SolverCacheMisses int64  `json:"solver_cache_misses"`
-		VTStart           int64  `json:"vt_start"`
-		VTEnd             int64  `json:"vt_end"`
-		Stages            []struct {
+		Span        uint64 `json:"span"`
+		Method      string `json:"method"`
+		Outcome     string `json:"outcome"`
+		QueueWaitNs int64  `json:"queue_wait_ns"`
+		WallNs      int64  `json:"wall_ns"`
+		CPUNs       int64  `json:"cpu_ns"`
+		AllocBytes  uint64 `json:"alloc_bytes"`
+		Mallocs     uint64 `json:"mallocs"`
+		VTStart     int64  `json:"vt_start"`
+		VTEnd       int64  `json:"vt_end"`
+		Stages      []struct {
 			Stage     string  `json:"stage"`
 			StartTick int64   `json:"start_tick"`
 			EndTick   int64   `json:"end_tick"`
@@ -80,9 +78,6 @@ func TestDaemonUpdateCostReport(t *testing.T) {
 		}
 		if cost.CPUNs < 0 {
 			t.Errorf("cpu_ns = %d", cost.CPUNs)
-		}
-		if cost.SolverCacheHits+cost.SolverCacheMisses == 0 {
-			t.Errorf("solve touched no solver cache (hits %d, misses %d)", cost.SolverCacheHits, cost.SolverCacheMisses)
 		}
 		if cost.VTEnd < cost.VTStart {
 			t.Errorf("virtual window [%d, %d] inverted", cost.VTStart, cost.VTEnd)

@@ -47,7 +47,7 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced scale for a fast pass")
 	seed := fs.Int64("seed", 1, "experiment seed")
-	runList := fs.String("run", "all", "comma-separated subset: tab2,fig6,fig7,fig8,fig9,fig10,fig11,ablations,solver,skewadv,soak")
+	runList := fs.String("run", "all", "comma-separated subset: tab2,fig6,fig7,fig8,fig9,fig10,fig11,ablations,skewadv,soak")
 	csvDir := fs.String("csv", "", "directory to also write CSV tables into")
 	procs := fs.Int("procs", runtime.GOMAXPROCS(0), "parallel experiment workers; 1 reproduces the serial path byte for byte")
 	benchJSON := fs.String("bench-json", "", "write a machine-readable run summary (per-experiment wall time, per-table rows, audit tallies) to this file")
@@ -217,17 +217,6 @@ func run(args []string, w io.Writer) error {
 				return err
 			}
 			return emit("ablation_exec", "Ablation: timed vs barrier-paced execution", expt.ExecModeTable(em))
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("solver") {
-		if err := timed("solver", func() error {
-			points, err := expt.SolverCacheBench(cfg)
-			if err != nil {
-				return err
-			}
-			return emit("solver_cache", "Solver cache: repeated same-topology solves, cold vs warm", expt.SolverCacheTable(points))
 		}); err != nil {
 			return err
 		}

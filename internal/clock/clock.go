@@ -104,7 +104,7 @@ type pendingSend struct {
 	vt int64
 }
 
-// maxPending bounds the xid-matching table; barriers that never get a
+// maxPending bounds each xid-matching table; barriers that never get a
 // reply (disconnects) must not leak entries forever.
 const maxPending = 4096
 
@@ -116,6 +116,10 @@ type Estimator struct {
 	cursor  uint64
 	states  map[string]*switchState
 	pending map[string]pendingSend // barrier xid -> ctl.send
+	// early holds sw.barrier spans folded before their ctl.send: the
+	// controller emits ctl.send only after Send returns, so the switch
+	// side can reach the trace first. Barrier xid -> sw.barrier VT.
+	early map[string]int64
 }
 
 // RegisterMetrics pre-registers the clock gauge families on r so they
@@ -136,6 +140,7 @@ func New(reg *obs.Registry) *Estimator {
 		reg:     reg,
 		states:  map[string]*switchState{},
 		pending: map[string]pendingSend{},
+		early:   map[string]int64{},
 	}
 }
 
@@ -201,8 +206,9 @@ func (e *Estimator) observeApply(ev obs.Event) {
 }
 
 // observeSpan pairs barrier ctl.send spans with the switch-side
-// sw.barrier span carrying the same xid; the virtual-time difference is
-// a one-way control latency sample.
+// sw.barrier span carrying the same xid, in whichever order the two
+// reach the trace; the virtual-time difference is a one-way control
+// latency sample.
 func (e *Estimator) observeSpan(ev obs.Event) {
 	var op, sw, xid, kind string
 	for _, a := range ev.Attrs {
@@ -222,6 +228,11 @@ func (e *Estimator) observeSpan(ev obs.Event) {
 		if kind != "barrier" || xid == "" || sw == "" {
 			return
 		}
+		if vt, ok := e.early[xid]; ok {
+			delete(e.early, xid)
+			e.pairRTT(sw, ev.VT, vt)
+			return
+		}
 		if len(e.pending) >= maxPending {
 			// A reply this old is never coming; drop the table rather
 			// than grow without bound on a disconnect-heavy stream.
@@ -232,14 +243,23 @@ func (e *Estimator) observeSpan(ev obs.Event) {
 		if xid == "" {
 			return
 		}
-		snd, ok := e.pending[xid]
-		if !ok {
+		if snd, ok := e.pending[xid]; ok {
+			delete(e.pending, xid)
+			e.pairRTT(snd.sw, snd.vt, ev.VT)
 			return
 		}
-		delete(e.pending, xid)
-		if lat := ev.VT - snd.vt; lat >= 0 {
-			e.state(snd.sw).pushRTT(lat)
+		if len(e.early) >= maxPending {
+			// Same bound for barriers whose send never shows up.
+			e.early = map[string]int64{}
 		}
+		e.early[xid] = ev.VT
+	}
+}
+
+// pairRTT records one matched send/barrier pair as a latency sample.
+func (e *Estimator) pairRTT(sw string, sendVT, barrierVT int64) {
+	if lat := barrierVT - sendVT; lat >= 0 {
+		e.state(sw).pushRTT(lat)
 	}
 }
 

@@ -132,6 +132,24 @@ func TestEstimatorBarrierRTT(t *testing.T) {
 	}
 }
 
+// TestEstimatorBarrierBeforeSend: the switch-side sw.barrier span can
+// reach the trace before the controller's ctl.send for the same xid; the
+// pair must still yield one RTT sample.
+func TestEstimatorBarrierBeforeSend(t *testing.T) {
+	e := New(nil)
+	e.Observe([]obs.Event{
+		spanEvent(1, 105, "sw.barrier", obs.A("switch", "R1"), obs.A("xid", 7)),
+		spanEvent(2, 100, "ctl.send", obs.A("switch", "R1"), obs.A("xid", 7), obs.A("kind", "barrier")),
+	})
+	est, ok := e.Estimate("R1")
+	if !ok {
+		t.Fatal("no estimate for R1")
+	}
+	if est.RTTSamples != 1 || est.RTTTicks != 5 {
+		t.Fatalf("rtt samples = %d, rtt = %d ticks; want 1 sample of 5", est.RTTSamples, est.RTTTicks)
+	}
+}
+
 func TestPredictSkewExtrapolatesDrift(t *testing.T) {
 	e := New(nil)
 	// skew = at/100 with samples at 0..1900: median 9.5 ticks at

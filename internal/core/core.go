@@ -81,11 +81,6 @@ type Options struct {
 	// Trace receives per-decision scheduler events stamped with the
 	// schedule tick; nil disables tracing.
 	Trace *obs.Tracer
-	// NoCache disables the cross-solve precomputation cache for this solve
-	// (the pooled workspaces stay in use — pooling is invisible to
-	// results). It exists for the cache on/off property tests and as an
-	// escape hatch.
-	NoCache bool
 }
 
 // ErrInfeasible is returned when no congestion- and loop-free schedule was
@@ -126,15 +121,21 @@ func activePath(in *dynflow.Instance, s *dynflow.Schedule, t dynflow.Tick) graph
 // to wait for a full drain of in-flight traffic, and a trace visits each
 // switch at most once with bounded per-hop delay.
 func autoMaxTicks(in *dynflow.Instance) dynflow.Tick {
-	return autoMaxTicksFrom(in, scanMaxDelay(in))
-}
-
-// autoMaxTicksFrom is autoMaxTicks with the topology's maximum link delay
-// already in hand (from the precomputation cache on the solver hot path).
-func autoMaxTicksFrom(in *dynflow.Instance, maxDelay graph.Delay) dynflow.Tick {
-	drain := dynflow.Tick(int64(maxDelay) * int64(in.G.NumNodes()+1))
+	drain := dynflow.Tick(int64(scanMaxDelay(in)) * int64(in.G.NumNodes()+1))
 	n := dynflow.Tick(len(in.UpdateSet()) + 1)
 	return n*drain + dynflow.Tick(in.Init.Delay(in.G)) + 4
+}
+
+// scanMaxDelay is the largest link delay (at least 1): one pass over the
+// links.
+func scanMaxDelay(in *dynflow.Instance) graph.Delay {
+	var maxDelay graph.Delay = 1
+	for _, l := range in.G.Links() {
+		if l.Delay > maxDelay {
+			maxDelay = l.Delay
+		}
+	}
+	return maxDelay
 }
 
 func minUint(a, b uint) uint {

@@ -24,12 +24,6 @@ type validatorMetrics struct {
 // they appear in expositions before the first validation.
 func RegisterMetrics(r *obs.Registry) {
 	newValidatorMetrics(r)
-	if r != nil {
-		r.Help("chronus_solver_cache_hits_total", "Solver precomputation cache hits by cache (tracer, precomp, plan).")
-		r.Help("chronus_solver_cache_misses_total", "Solver precomputation cache misses by cache (tracer, precomp, plan).")
-		r.Counter(`chronus_solver_cache_hits_total{cache="tracer"}`)
-		r.Counter(`chronus_solver_cache_misses_total{cache="tracer"}`)
-	}
 }
 
 func newValidatorMetrics(r *obs.Registry) validatorMetrics {

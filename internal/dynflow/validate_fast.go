@@ -6,14 +6,13 @@ import (
 	"github.com/chronus-sdn/chronus/internal/graph"
 )
 
-// tracerCore is the immutable, instance-independent part of a tracer:
+// tracer is the allocation-light engine behind Validate and TraceEmission:
 // the graph's adjacency resolved into dense per-node slices with link
-// ordinals — the skeleton of the time-expanded network G_T, which depends
-// only on (topology, capacities, delays). It is never mutated after
-// construction, so one core is safely shared by every tracer (and hence
-// every concurrent solve) over graphs with the same fingerprint; see
-// tracerCoreFor in arena.go for the cross-instance cache.
-type tracerCore struct {
+// ordinals (the skeleton of the time-expanded network G_T), per-trace
+// visited sets via stamping, and load accounting keyed by (link ordinal,
+// departure tick) packed into one integer.
+type tracer struct {
+	in *Instance
 	// out[v] lists v's outgoing links with their ordinals.
 	out   [][]tracerLink
 	caps  []graph.Capacity  // by ordinal
@@ -21,18 +20,9 @@ type tracerCore struct {
 	// maxDelay is the largest link delay (at least 1): it bounds how far
 	// past the window a trace can depart.
 	maxDelay Tick
-	// fingerprint detects graph mutations that invalidate a cached tracer.
+	// fingerprint detects graph mutations that invalidate a memoized tracer.
 	nodes, links int
 	fp           uint64
-}
-
-// tracer is the allocation-light engine behind Validate and TraceEmission:
-// adjacency resolved through the shared tracerCore skeleton, per-trace
-// visited sets via stamping, and load accounting keyed by (link ordinal,
-// departure tick) packed into one integer.
-type tracer struct {
-	in *Instance
-	*tracerCore
 	// visit stamps detect revisits without a per-trace map.
 	visit []uint64
 	stamp uint64
@@ -119,40 +109,33 @@ type tracerLink struct {
 	ordinal int32
 }
 
-// newTracerCore builds the G_T skeleton for a graph: the delay-annotated
-// adjacency with stable link ordinals, plus the fingerprint it is valid
-// for. This is the O(V+E) work the cross-instance cache hoists out of
-// repeated solves over the same topology.
-func newTracerCore(g *graph.Graph, fp uint64) *tracerCore {
+// newTracer builds the tracer for in's graph, whose fingerprint is fp:
+// the delay-annotated adjacency with stable link ordinals plus fresh
+// scratch, O(V+E).
+func newTracer(in *Instance, fp uint64) *tracer {
+	g := in.G
 	n := g.NumNodes()
-	c := &tracerCore{
+	tr := &tracer{
+		in:       in,
 		out:      make([][]tracerLink, n),
 		maxDelay: 1,
+		nodes:    n,
+		links:    g.NumLinks(),
 		fp:       fp,
+		visit:    make([]uint64, n),
+		times:    make([]Tick, n),
 	}
 	ord := int32(0)
 	for _, id := range g.Nodes() {
 		for _, l := range g.Out(id) {
-			if Tick(l.Delay) > c.maxDelay {
-				c.maxDelay = Tick(l.Delay)
+			if Tick(l.Delay) > tr.maxDelay {
+				tr.maxDelay = Tick(l.Delay)
 			}
-			c.out[id] = append(c.out[id], tracerLink{to: l.To, delay: Tick(l.Delay), ordinal: ord})
-			c.caps = append(c.caps, l.Cap)
-			c.pairs = append(c.pairs, [2]graph.NodeID{id, l.To})
+			tr.out[id] = append(tr.out[id], tracerLink{to: l.To, delay: Tick(l.Delay), ordinal: ord})
+			tr.caps = append(tr.caps, l.Cap)
+			tr.pairs = append(tr.pairs, [2]graph.NodeID{id, l.To})
 			ord++
 		}
-	}
-	c.nodes = n
-	c.links = g.NumLinks()
-	return c
-}
-
-func newTracer(in *Instance, core *tracerCore) *tracer {
-	tr := &tracer{
-		in:         in,
-		tracerCore: core,
-		visit:      make([]uint64, core.nodes),
-		times:      make([]Tick, core.nodes),
 	}
 	for i := range tr.times {
 		tr.times[i] = noTime
@@ -196,17 +179,15 @@ func (tr *tracer) nextHop(v graph.NodeID, t Tick) graph.NodeID {
 	return tr.oldNext[v]
 }
 
-// tracerFor returns the instance's cached tracer, rebuilding it when the
-// graph changed. Skeletons come from the shared fingerprint-keyed cache
-// (see arena.go), so a rebuild over a known topology reuses the adjacency
-// wholesale and only allocates fresh per-instance scratch.
+// tracerFor returns the instance's memoized tracer, rebuilding it when
+// the graph changed.
 func tracerFor(in *Instance) *tracer {
 	fp := in.G.Fingerprint()
 	if in.trc != nil && in.trc.nodes == in.G.NumNodes() && in.trc.links == in.G.NumLinks() &&
 		in.trc.fp == fp {
 		return in.trc
 	}
-	in.trc = newTracer(in, tracerCoreFor(in.G, fp, in.Obs))
+	in.trc = newTracer(in, fp)
 	return in.trc
 }
 

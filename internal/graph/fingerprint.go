@@ -3,9 +3,9 @@ package graph
 // Fingerprint is a canonical hash of a graph's structure: node count plus
 // every link's endpoints, capacity and delay, folded in adjacency order.
 // Two graphs with the same fingerprint have (up to a hash collision) the
-// same topology, capacities and delays — exactly the pair the solver
-// precomputation caches are keyed by. Node names are deliberately
-// excluded: renaming switches changes no scheduling decision.
+// same topology, capacities and delays — what the validator's memoized
+// tracer depends on. Node names are deliberately excluded: renaming
+// switches changes no scheduling decision.
 //
 // The fold is FNV-1a over a fixed traversal (per node, per out-link), so
 // the value is stable across processes and runs and any capacity or delay

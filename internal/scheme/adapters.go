@@ -40,7 +40,6 @@ func (g greedyScheme) Solve(in *dynflow.Instance, o Options) (*Result, error) {
 		BestEffort: o.BestEffort,
 		Obs:        o.Obs,
 		Trace:      o.Trace,
-		NoCache:    o.NoCache,
 	})
 	if err != nil {
 		return nil, err

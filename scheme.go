@@ -46,9 +46,6 @@ type SchemeOptions struct {
 	VT int64
 	// Span is the parent span the solve span is recorded under.
 	Span SpanID
-	// NoCache disables the cross-request plan and precomputation caches
-	// for this solve, forcing a from-scratch engine run.
-	NoCache bool
 }
 
 // SchemeResult is the uniform outcome of SolveWith. Timed schemes set
@@ -88,7 +85,6 @@ func SolveWith(name string, in *Instance, o SchemeOptions) (*SchemeResult, error
 		Trace:      o.Trace,
 		VT:         o.VT,
 		Span:       o.Span,
-		NoCache:    o.NoCache,
 	})
 	if err != nil {
 		return nil, err
